@@ -1,6 +1,6 @@
 // Shared helpers for the benchmark harnesses: the unified CLI flag
-// parser every bench uses, environment-variable fallbacks, and the
-// battle timing shim the paper-figure benches share.
+// parser every bench uses and the battle timing shim the paper-figure
+// benches share.
 //
 // Flags (unified across all benches; each harness reads the subset it
 // needs and documents its defaults in its usage string):
@@ -8,7 +8,6 @@
 //   --units 500,2000      unit-count sweep (comma-separated list)
 //   --ticks N             ticks per measurement
 //   --threads 1,4         worker-thread sweep
-//   --shards 1,2          (bench_suite) shard-worker sweep
 //   --seed N              scenario seed
 //   --json PATH           also write machine-readable results to PATH
 //   --scenarios a,b       (bench_suite) restrict to named scenarios
@@ -19,8 +18,7 @@
 //   --quick               small preset for CI smoke runs
 //   --list                (bench_suite) list scenarios and exit
 //
-// Flag > environment variable (SGL_BENCH_TICKS, SGL_BENCH_NAIVE_MAX) >
-// built-in default, so existing env-driven invocations keep working.
+// A given flag wins over the harness's built-in default.
 #ifndef SGL_BENCH_BENCH_COMMON_H_
 #define SGL_BENCH_BENCH_COMMON_H_
 
@@ -37,39 +35,20 @@
 
 namespace sgl {
 
-/// Ticks per measurement. The paper simulates 500 ticks per data point;
-/// that is minutes of naive-engine wall clock, so the default here is
-/// smaller and the harness reports per-tick numbers (which the paper's
-/// own "proportional to the number of ticks simulated, to within one
-/// percent" observation justifies). Set SGL_BENCH_TICKS=500 to reproduce
-/// the full-scale run.
-inline int64_t BenchTicks(int64_t fallback = 20) {
-  const char* env = std::getenv("SGL_BENCH_TICKS");
-  if (env != nullptr) {
-    int64_t v = std::atoll(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
-
-/// Largest unit count the naive engine is asked to simulate (its O(n^2)
-/// tick cost makes the full 14000-unit sweep impractical by design —
-/// that asymmetry is the experiment). Override with SGL_BENCH_NAIVE_MAX.
-inline int32_t NaiveMaxUnits(int32_t fallback = 2000) {
-  const char* env = std::getenv("SGL_BENCH_NAIVE_MAX");
-  if (env != nullptr) {
-    int32_t v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
-
 /// Parsed unified bench CLI. Zero/empty fields mean "not given"; the
-/// *Or accessors layer flag > env > default.
+/// *Or accessors return the flag's value, else the given default.
+///
+/// Ticks per measurement: the paper simulates 500 ticks per data point,
+/// which is minutes of naive-engine wall clock, so harness defaults are
+/// smaller and results are reported per tick (the paper's own "to within
+/// one percent proportional to the number of ticks" observation
+/// justifies that); pass --ticks 500 for the full-scale run. The naive
+/// unit cap (--naive-max) exists because the naive engine's O(n^2) tick
+/// cost makes large sweeps impractical by design — that asymmetry is the
+/// experiment.
 struct BenchArgs {
   std::vector<int32_t> units;
   std::vector<int32_t> threads;
-  std::vector<int32_t> shards;  // shard-worker sweep (bench_suite)
   std::vector<int32_t> sessions;  // co-scheduled session sweep (bench_suite)
   std::vector<std::string> scenarios;
   std::vector<std::string> modes;
@@ -89,23 +68,19 @@ struct BenchArgs {
   bool metrics = false;
 
   int64_t TicksOr(int64_t fallback) const {
-    return ticks > 0 ? ticks : BenchTicks(fallback);
+    return ticks > 0 ? ticks : fallback;
   }
   uint64_t SeedOr(uint64_t fallback) const {
     return seed_set ? seed : fallback;
   }
   int32_t NaiveMaxOr(int32_t fallback) const {
-    return naive_max > 0 ? static_cast<int32_t>(naive_max)
-                         : NaiveMaxUnits(fallback);
+    return naive_max > 0 ? static_cast<int32_t>(naive_max) : fallback;
   }
   std::vector<int32_t> UnitsOr(std::vector<int32_t> fallback) const {
     return units.empty() ? fallback : units;
   }
   std::vector<int32_t> ThreadsOr(std::vector<int32_t> fallback) const {
     return threads.empty() ? fallback : threads;
-  }
-  std::vector<int32_t> ShardsOr(std::vector<int32_t> fallback) const {
-    return shards.empty() ? fallback : shards;
   }
   std::vector<int32_t> SessionsOr(std::vector<int32_t> fallback) const {
     return sessions.empty() ? fallback : sessions;
@@ -168,10 +143,8 @@ inline void PrintBenchUsage(const char* bench, const char* extra) {
                "usage: %s [flags]\n"
                "%s"
                "  --units A,B,...     unit-count sweep\n"
-               "  --ticks N           ticks per measurement "
-               "(env SGL_BENCH_TICKS)\n"
+               "  --ticks N           ticks per measurement\n"
                "  --threads A,B,...   worker-thread sweep\n"
-               "  --shards A,B,...    shard-worker sweep (bench_suite)\n"
                "  --sessions A,B,...  co-scheduled session sweep "
                "(bench_suite)\n"
                "  --seed N            workload seed\n"
@@ -182,8 +155,7 @@ inline void PrintBenchUsage(const char* bench, const char* extra) {
                "  --sharing A,B,...   aggregate-sharing sweep (on, off)\n"
                "  --compiled A,B,...  bytecode-VM sweep (on, off)\n"
                "  --storage A,B,...   disk-backed world sweep (off, on)\n"
-               "  --naive-max N       naive-evaluator unit cap "
-               "(env SGL_BENCH_NAIVE_MAX)\n"
+               "  --naive-max N       naive-evaluator unit cap\n"
                "  --quick             small CI smoke preset\n"
                "  --metrics           embed per-cell metrics snapshots in "
                "the JSON\n"
@@ -222,9 +194,6 @@ inline BenchArgs ParseBenchArgsOrExit(int argc, char** argv, const char* bench,
     } else if (is_flag(arg, "--threads")) {
       args.threads =
           bench_internal::SplitIntList("--threads", value_of(&i, "--threads"));
-    } else if (is_flag(arg, "--shards")) {
-      args.shards =
-          bench_internal::SplitIntList("--shards", value_of(&i, "--shards"));
     } else if (is_flag(arg, "--sessions")) {
       args.sessions = bench_internal::SplitIntList(
           "--sessions", value_of(&i, "--sessions"));

@@ -32,6 +32,11 @@
 namespace sgl {
 namespace exec {
 
+/// Upper bound on an explicitly configured thread count
+/// (SimulationConfig::threads, SessionManagerOptions::threads): both
+/// validators reject larger values before any pool is constructed.
+constexpr int32_t kMaxThreads = 256;
+
 /// Aggregated per-ParallelFor timing, rolled up into PhaseStats
 /// (`workers` / `max_worker_ns`) by the phases that opt in.
 struct ParallelStats {

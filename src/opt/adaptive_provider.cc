@@ -30,9 +30,10 @@ void AdaptiveAggregateProvider::BindMetrics(obs::MetricsRegistry* registry,
                                             uint32_t extra_flags) {
   IndexedAggregateProvider::BindMetrics(registry, prefix, extra_flags);
   // Decision counts depend on how evaluation is organized, not just on
-  // the simulation: under sharding every worker provider decides each
-  // family independently (S deciders instead of one), so the tallies are
-  // execution-dependent even though each decision itself is deterministic.
+  // the simulation: the cost model is fed observed probe tallies, which
+  // under aggregate sharing count only memo misses (whose split across
+  // threads races), so the tallies are execution-dependent even though
+  // every choice is bit-exact.
   const uint32_t flags = extra_flags | obs::kMetricExecDependent;
   scan_decisions_ = registry->GetCounter(prefix + "decisions.scan", flags);
   rebuild_decisions_ =
@@ -133,15 +134,15 @@ Status AdaptiveAggregateProvider::BuildIndexes(const EnvironmentTable& table,
       case PhysicalChoice::kScan:
         // The trees (if any) will be stale after this tick's writes.
         family.tree_valid = false;
-        scan_decisions_->Add(1, metrics_shard_);
+        scan_decisions_->Add(1);
         break;
       case PhysicalChoice::kRebuild:
         rebuilds.push_back(&family);
-        rebuild_decisions_->Add(1, metrics_shard_);
+        rebuild_decisions_->Add(1);
         break;
       case PhysicalChoice::kIncremental:
         deltas.push_back(DeltaJob{&family, std::move(dirty)});
-        incremental_decisions_->Add(1, metrics_shard_);
+        incremental_decisions_->Add(1);
         break;
     }
   }

@@ -190,11 +190,10 @@ void SharingContext::BindGroup(int32_t g) {
   const std::string base = prefix_ + "group" + std::to_string(g) + ".";
   Group& group = *groups_[g];
   // All sharing tallies are execution-dependent. Hits obviously race
-  // across shards; calls/entries/demotions are deterministic per context,
-  // but shard workers keep private contexts (their memo inserts are
-  // unsharded), so under sharding the driver context's counters read 0
-  // while a single-table run's read nonzero — the counts describe how
-  // evaluation was organized, not the simulated world.
+  // across threads; calls/entries/demotions are deterministic per
+  // context, but they describe how evaluation was organized, not the
+  // simulated world, so the deterministic subset stays comparable
+  // between sharing on and off.
   group.calls =
       metrics_->GetCounter(base + "calls", obs::kMetricExecDependent);
   group.hits =

@@ -9,10 +9,10 @@ namespace sgl {
 namespace serve {
 
 Status SessionManagerOptions::Validate() const {
-  if (threads < 0) {
-    return Status::Invalid(
-        "SessionManagerOptions: threads must be >= 0 (0 = auto-detect), got ",
-        threads);
+  if (threads < 0 || threads > exec::kMaxThreads) {
+    return Status::Invalid("SessionManagerOptions: threads must be in [0, ",
+                           exec::kMaxThreads, "] (0 = auto-detect), got ",
+                           threads);
   }
   if (max_sessions < 1) {
     return Status::Invalid(

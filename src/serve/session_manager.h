@@ -44,8 +44,9 @@ namespace serve {
 /// enforced with Status::ResourceExhausted, never by blocking.
 struct SessionManagerOptions {
   /// Size of the shared worker pool every session runs on (0 =
-  /// auto-detect hardware concurrency). A session admitted here resolves
-  /// threads() to this pool's size regardless of its config.threads.
+  /// auto-detect hardware concurrency; at most exec::kMaxThreads). A
+  /// session admitted here resolves threads() to this pool's size
+  /// regardless of its config.threads.
   int32_t threads = 1;
 
   /// Admission control: maximum concurrently open sessions.

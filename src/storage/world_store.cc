@@ -115,9 +115,9 @@ Result<std::unique_ptr<WorldStore>> WorldStore::Open(
   store->manifest_path_ = config.path + "/MANIFEST.sgl";
   store->has_world_ = ::access(store->manifest_path_.c_str(), F_OK) == 0;
   if (metrics != nullptr) {
-    // Exec-dependent like shard.*: pool traffic depends on eviction
-    // order and whether storage is even on, so the deterministic metric
-    // subset stays comparable between storage-backed and in-memory runs.
+    // Exec-dependent: pool traffic depends on eviction order and whether
+    // storage is even on, so the deterministic metric subset stays
+    // comparable between storage-backed and in-memory runs.
     const uint32_t exec_dep = obs::kMetricExecDependent;
     store->wal_bytes_ = metrics->GetCounter("storage.wal.bytes", exec_dep);
     store->wal_records_ = metrics->GetCounter("storage.wal.records", exec_dep);

@@ -20,11 +20,8 @@
 //   - the WAL set, harvested once per tick by CommitTick into one
 //     CellDeltas record (final end-of-tick values, keyed by unit key)
 //     plus the tick's structural ops in occurrence order;
-//   - the pool set, drained by FlushPoolDeltas into the page cache.
-// They drain at different times because shard ghost refresh reads pages
-// mid-tick (after action drain + effect reset, before decisions), so
-// the pool must be current then, while WAL records must describe the
-// whole tick.
+//   - the pool set, drained by FlushPoolDeltas into the page cache at
+//     every CommitTick and Checkpoint.
 //
 // Checkpoint = flush dirty frames to scratch slots, fsync, promote the
 // scratch slots, publish the manifest (write-temp + fsync + rename),
@@ -89,16 +86,6 @@ class WorldStore : public TableDeltaListener {
   /// checkpoint_every divides the new state tick.
   Status CommitTick(const EnvironmentTable& table, int64_t tick);
 
-  /// Bring cached pages up to date with `table` (applies the pending
-  /// pool delta set). Called by CommitTick and, mid-tick, by the shard
-  /// runtime before ghost reads.
-  Status FlushPoolDeltas(const EnvironmentTable& table);
-
-  /// Read row `row`'s attribute values (attrs 1..k into values[0..k-1])
-  /// through the buffer pool. Thread-safe; the page cache must be
-  /// current (FlushPoolDeltas) for rows written this tick.
-  Status ReadRow(RowId row, std::vector<double>* values);
-
   /// Rebuild the latest durable state: checkpoint image + full WAL
   /// replay (dropping a torn trailing tick).
   Result<RecoveredWorld> Recover();
@@ -138,6 +125,14 @@ class WorldStore : public TableDeltaListener {
   /// Append attr ids 1..k selected by a TableChanges-style bit mask
   /// (bit min(a, 63); bit 63 is coarse and expands to all attrs >= 63).
   void ExpandMask(uint64_t mask, std::vector<AttrId>* out) const;
+
+  /// Bring cached pages up to date with `table` (applies the pending
+  /// pool delta set).
+  Status FlushPoolDeltas(const EnvironmentTable& table);
+
+  /// Read row `row`'s attribute values (attrs 1..k into values[0..k-1])
+  /// through the buffer pool.
+  Status ReadRow(RowId row, std::vector<double>* values);
 
   /// Write one cell through the pool (page must already exist).
   Status WriteCell(RowId row, int32_t slot, uint64_t bits);

@@ -504,19 +504,21 @@ TEST(Simulation, RestoreRejectsForeignSchema) {
             (*sim)->RestoreFrom(::testing::TempDir() + "/no_such_ckpt").code());
 }
 
-TEST(Simulation, DeprecatedSnapshotShimsMatchTheFacade) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+TEST(Simulation, InMemorySnapshotRestoresAndReplays) {
   auto sim = MakeFarm(EvaluatorMode::kIndexed, 77);
   ASSERT_TRUE(sim.ok());
   ASSERT_TRUE((*sim)->Run(5).ok());
-  SimulationSnapshot snap = (*sim)->Snapshot();
+  SimulationSnapshot snap = (*sim)->SnapshotNow();
   EXPECT_EQ(5, snap.tick_count);
   ASSERT_TRUE((*sim)->Run(5).ok());
-  ASSERT_TRUE((*sim)->Restore(snap).ok());
+  const EnvironmentTable after_ten = (*sim)->table().Clone();
+  ASSERT_TRUE((*sim)->RestoreSnapshot(snap).ok());
   EXPECT_EQ(5, (*sim)->tick_count());
   EXPECT_TRUE((*sim)->table().Equals(snap.table));
-#pragma GCC diagnostic pop
+  // Replaying from the restored state reproduces the original run.
+  ASSERT_TRUE((*sim)->Run(5).ok());
+  EXPECT_TRUE((*sim)->table().Equals(after_ten))
+      << (*sim)->table().DiffString(after_ten);
 }
 
 TEST(Simulation, ExplainCoversAllScripts) {
