@@ -12,9 +12,9 @@
 //   --json PATH           also write machine-readable results to PATH
 //   --scenarios a,b       (bench_suite) restrict to named scenarios
 //   --modes naive,indexed (bench_suite) evaluator modes
-//   --compiled on,off     (bench_suite) bytecode-VM sweep
 //   --storage off,on      (bench_suite) disk-backed world sweep
-//   --naive-max N         largest unit count the naive evaluator runs
+//   --naive-max N         largest unit count the naive and reference
+//                         evaluators run
 //   --quick               small preset for CI smoke runs
 //   --list                (bench_suite) list scenarios and exit
 //
@@ -52,9 +52,7 @@ struct BenchArgs {
   std::vector<int32_t> sessions;  // co-scheduled session sweep (bench_suite)
   std::vector<std::string> scenarios;
   std::vector<std::string> modes;
-  std::vector<std::string> sharing;   // "on" / "off" sweep (bench_suite)
-  std::vector<std::string> compiled;  // "on" / "off" sweep (bench_suite)
-  std::vector<std::string> storage;   // "off" / "on" sweep (bench_suite)
+  std::vector<std::string> storage;  // "off" / "on" sweep (bench_suite)
   int64_t ticks = 0;
   uint64_t seed = 0;
   bool seed_set = false;  // --seed 0 is a legitimate seed
@@ -151,11 +149,9 @@ inline void PrintBenchUsage(const char* bench, const char* extra) {
                "  --json PATH         write machine-readable results to PATH\n"
                "  --scenarios A,B,... restrict to named scenarios\n"
                "  --modes A,B,...     evaluator modes "
-               "(naive, indexed, adaptive)\n"
-               "  --sharing A,B,...   aggregate-sharing sweep (on, off)\n"
-               "  --compiled A,B,...  bytecode-VM sweep (on, off)\n"
+               "(reference, naive, indexed, adaptive)\n"
                "  --storage A,B,...   disk-backed world sweep (off, on)\n"
-               "  --naive-max N       naive-evaluator unit cap\n"
+               "  --naive-max N       naive/reference-evaluator unit cap\n"
                "  --quick             small CI smoke preset\n"
                "  --metrics           embed per-cell metrics snapshots in "
                "the JSON\n"
@@ -207,22 +203,6 @@ inline BenchArgs ParseBenchArgsOrExit(int argc, char** argv, const char* bench,
       args.scenarios = bench_internal::SplitList(value_of(&i, "--scenarios"));
     } else if (is_flag(arg, "--modes")) {
       args.modes = bench_internal::SplitList(value_of(&i, "--modes"));
-    } else if (is_flag(arg, "--sharing")) {
-      args.sharing = bench_internal::SplitList(value_of(&i, "--sharing"));
-      for (const std::string& s : args.sharing) {
-        if (s != "on" && s != "off") {
-          std::fprintf(stderr, "--sharing: '%s' is not on/off\n", s.c_str());
-          std::exit(2);
-        }
-      }
-    } else if (is_flag(arg, "--compiled")) {
-      args.compiled = bench_internal::SplitList(value_of(&i, "--compiled"));
-      for (const std::string& s : args.compiled) {
-        if (s != "on" && s != "off") {
-          std::fprintf(stderr, "--compiled: '%s' is not on/off\n", s.c_str());
-          std::exit(2);
-        }
-      }
     } else if (is_flag(arg, "--storage")) {
       args.storage = bench_internal::SplitList(value_of(&i, "--storage"));
       for (const std::string& s : args.storage) {

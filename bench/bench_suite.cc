@@ -1,14 +1,13 @@
 // The unified benchmark suite: every registered scenario, swept across
-// {naive, indexed, adaptive} evaluators x worker-thread counts x unit
-// scales x aggregate sharing {on, off} x compiled evaluation {on, off} x
-// disk-backed storage {off, on}.
+// {naive, indexed, adaptive} evaluators (--modes adds the reference
+// oracle) x worker-thread counts x unit scales x disk-backed storage
+// {off, on}.
 //
 // Each (scenario, units) group elects the first completed cell as its
 // reference; every other cell's final environment table must be
-// bit-identical to it (the PR-2 determinism contract, now enforced
-// across the whole scenario library — including sharing on vs off — on
-// every benchmark run), and every cell must satisfy its scenario's
-// invariant checker.
+// bit-identical to it (the determinism contract, enforced across the
+// whole scenario library on every benchmark run), and every cell must
+// satisfy its scenario's invariant checker.
 //
 // Results go to a standardized BENCH_scenarios.json: one "meta" line
 // followed by one line per cell with ns/tick, rows, rows scanned, index
@@ -70,22 +69,19 @@ void RemoveWorldDir(const std::string& dir) {
   ::rmdir(dir.c_str());
 }
 
-// Runs one (scenario, params, mode, threads, sharing) cell `reps` times
+// Runs one (scenario, params, mode, threads, storage) cell `reps` times
 // and keeps the fastest repetition — identical seeds make every
 // repetition bit-identical, so repeating only filters scheduler noise
 // out of the timing, which matters for the sub-millisecond CI cells the
 // regression gate compares across runs.
 CellResult RunCell(const std::string& scenario, const ScenarioParams& params,
-                   EvaluatorMode mode, int32_t threads, bool sharing,
-                   bool compiled, bool storage, int64_t ticks, int32_t reps,
-                   bool want_metrics) {
+                   EvaluatorMode mode, int32_t threads, bool storage,
+                   int64_t ticks, int32_t reps, bool want_metrics) {
   CellResult best;
   for (int32_t rep = 0; rep < reps; ++rep) {
     SimulationConfig config;
     config.eval_mode = mode;
     config.threads = threads;
-    config.sharing = sharing;
-    config.compiled = compiled;
     std::string world_dir;
     if (storage) {
       world_dir = MakeWorldDir();
@@ -216,9 +212,9 @@ CellResult RunServeCell(const std::string& scenario,
 }
 
 std::string CellJson(const std::string& scenario, const char* mode,
-                     int32_t units, int32_t threads, bool sharing,
-                     bool compiled, bool storage, int64_t ticks,
-                     const CellResult& cell, int32_t sessions = 1) {
+                     int32_t units, int32_t threads, bool storage,
+                     int64_t ticks, const CellResult& cell,
+                     int32_t sessions = 1) {
   // Per session-tick, so multi-tenant rows compare against solo rows.
   const double ns_per_tick =
       cell.seconds / static_cast<double>(ticks * sessions) * 1e9;
@@ -226,8 +222,6 @@ std::string CellJson(const std::string& scenario, const char* mode,
   os << "{\"scenario\": \"" << scenario << "\", \"mode\": \"" << mode
      << "\", \"units\": " << units << ", \"threads\": " << threads
      << ", \"sessions\": " << sessions
-     << ", \"sharing\": \"" << (sharing ? "on" : "off") << "\""
-     << ", \"compiled\": \"" << (compiled ? "on" : "off") << "\""
      << ", \"storage\": \"" << (storage ? "on" : "off") << "\""
      << ", \"ticks\": " << ticks << ", \"seconds\": " << cell.seconds
      << ", \"ns_per_tick\": " << static_cast<int64_t>(ns_per_tick)
@@ -289,19 +283,6 @@ int main(int argc, char** argv) {
       args.modes.empty()
           ? std::vector<std::string>{"naive", "indexed", "adaptive"}
           : args.modes;
-  // Sharing is swept on and off by default: the off rows keep a
-  // regression gate on the probe-per-unit path, and on-vs-off in one
-  // file documents what the memoization layer buys per scenario.
-  const std::vector<std::string> sharing_sweep =
-      args.sharing.empty() ? std::vector<std::string>{"on", "off"}
-                           : args.sharing;
-  // Compiled evaluation is likewise swept both ways by default: the off
-  // rows keep the interpreter's perf visible (it is still the semantics
-  // oracle), and on-vs-off in one file documents what the bytecode VM
-  // buys per scenario.
-  const std::vector<std::string> compiled_sweep =
-      args.compiled.empty() ? std::vector<std::string>{"on", "off"}
-                            : args.compiled;
   // Disk-backed storage is swept both ways by default: the off rows are
   // the classic in-memory engine (legacy baselines carry storage="off"
   // implicitly), and the on rows keep a trajectory on what the page
@@ -334,9 +315,8 @@ int main(int argc, char** argv) {
     json.WriteLine(meta.str());
   }
 
-  std::printf("%-14s %-8s %7s %8s %8s %9s %8s %14s %9s\n", "scenario",
-              "mode", "units", "threads", "sharing", "compiled", "storage",
-              "ns/tick", "speedup");
+  std::printf("%-14s %-9s %7s %8s %8s %14s %9s\n", "scenario", "mode",
+              "units", "threads", "storage", "ns/tick", "speedup");
   for (const std::string& scenario : scenarios) {
     for (int32_t units : unit_counts) {
       ScenarioParams params;
@@ -351,47 +331,40 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
           return 2;
         }
-        EvaluatorMode mode = *parsed;
-        if (mode == EvaluatorMode::kNaive && units > naive_max) continue;
+        const EvaluatorMode mode = *parsed;
+        // Both scan evaluators are O(n^2) per tick.
+        if ((mode == EvaluatorMode::kReference ||
+             mode == EvaluatorMode::kNaive) &&
+            units > naive_max) {
+          continue;
+        }
         for (int32_t threads : thread_counts) {
-          for (const std::string& sharing_name : sharing_sweep) {
-            for (const std::string& compiled_name : compiled_sweep) {
-              for (const std::string& storage_name : storage_sweep) {
-                const bool sharing = sharing_name == "on";
-                const bool compiled = compiled_name == "on";
-                const bool storage = storage_name == "on";
-                CellResult cell =
-                    RunCell(scenario, params, mode, threads, sharing, compiled,
-                            storage, ticks, reps, args.metrics);
-                if (!have_reference) {
-                  have_reference = true;
-                  reference = cell.table.Clone();
-                  base_ns = cell.seconds / static_cast<double>(ticks) * 1e9;
-                } else if (!reference.Equals(cell.table)) {
-                  std::fprintf(
-                      stderr,
-                      "DETERMINISM VIOLATION: %s units=%d %s threads=%d "
-                      "sharing=%s compiled=%s storage=%s diverged from the "
-                      "group reference:\n%s\n",
-                      scenario.c_str(), units, mode_name.c_str(), threads,
-                      sharing_name.c_str(), compiled_name.c_str(),
-                      storage_name.c_str(),
-                      reference.DiffString(cell.table).c_str());
-                  return 1;
-                }
-                const double ns =
-                    cell.seconds / static_cast<double>(ticks) * 1e9;
-                std::printf("%-14s %-8s %7d %8d %8s %9s %8s %14.0f %8.2fx\n",
-                            scenario.c_str(), mode_name.c_str(), units,
-                            threads, sharing_name.c_str(),
-                            compiled_name.c_str(), storage_name.c_str(), ns,
-                            ns > 0 ? base_ns / ns : 0.0);
-                std::fflush(stdout);
-                json.WriteLine(CellJson(scenario, mode_name.c_str(), units,
-                                        threads, sharing, compiled, storage,
-                                        ticks, cell));
-              }
+          for (const std::string& storage_name : storage_sweep) {
+            const bool storage = storage_name == "on";
+            CellResult cell = RunCell(scenario, params, mode, threads,
+                                      storage, ticks, reps, args.metrics);
+            if (!have_reference) {
+              have_reference = true;
+              reference = cell.table.Clone();
+              base_ns = cell.seconds / static_cast<double>(ticks) * 1e9;
+            } else if (!reference.Equals(cell.table)) {
+              std::fprintf(stderr,
+                           "DETERMINISM VIOLATION: %s units=%d %s threads=%d "
+                           "storage=%s diverged from the group reference:\n"
+                           "%s\n",
+                           scenario.c_str(), units, mode_name.c_str(),
+                           threads, storage_name.c_str(),
+                           reference.DiffString(cell.table).c_str());
+              return 1;
             }
+            const double ns = cell.seconds / static_cast<double>(ticks) * 1e9;
+            std::printf("%-14s %-9s %7d %8d %8s %14.0f %8.2fx\n",
+                        scenario.c_str(), mode_name.c_str(), units, threads,
+                        storage_name.c_str(), ns,
+                        ns > 0 ? base_ns / ns : 0.0);
+            std::fflush(stdout);
+            json.WriteLine(CellJson(scenario, mode_name.c_str(), units,
+                                    threads, storage, ticks, cell));
           }
         }
       }
@@ -410,12 +383,11 @@ int main(int argc, char** argv) {
                                          ticks, reps, args.metrics);
           const double ns =
               cell.seconds / static_cast<double>(ticks * sessions) * 1e9;
-          std::printf("%-14s %-8s %7d %8d %8s %9s %8s %14.0f %9s\n",
-                      scenario.c_str(), "serve", units, threads, "on", "on",
-                      "off", ns, ("s=" + std::to_string(sessions)).c_str());
+          std::printf("%-14s %-9s %7d %8d %8s %14.0f %9s\n",
+                      scenario.c_str(), "serve", units, threads, "off", ns,
+                      ("s=" + std::to_string(sessions)).c_str());
           std::fflush(stdout);
           json.WriteLine(CellJson(scenario, "indexed", units, threads,
-                                  /*sharing=*/true, /*compiled=*/true,
                                   /*storage=*/false, ticks, cell, sessions));
         }
       }

@@ -50,9 +50,9 @@ inline constexpr const char kMechanics[] = "mechanics";
 /// stats table, Explain(), the flight recorder, and exported snapshots
 /// all read the same storage. Timing fields (ns, max_worker_ns, workers)
 /// are execution-dependent; invocations and rows_scanned are
-/// deterministic counts, and index_probes is deterministic unless
-/// aggregate sharing is on (the decorated providers only see memo
-/// misses, whose split across shards races).
+/// deterministic counts, and index_probes is deterministic only under
+/// the reference evaluator (elsewhere the sharing-decorated providers
+/// only see memo misses, whose split across shards races).
 class PhaseStats {
  public:
   // Writers — called by the tick runner, or with per-worker values folded
@@ -175,7 +175,7 @@ class IndexBuildPhase : public TickPhase {
 /// concurrently — each chunk writes an exec::EffectShard merged back in
 /// chunk order, so results are bit-identical to single-threaded runs (the
 /// state-effect pattern makes decisions read only frozen pre-tick state).
-/// Sessions with compiled bytecode (SimulationConfig::compiled) run
+/// Sessions with compiled bytecode (every mode but kReference) run
 /// through the batch VM — a batch is a same-session row run within a
 /// chunk — with the interpreter serving the remaining sessions.
 class DecisionActionPhase : public TickPhase {

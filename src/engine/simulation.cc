@@ -17,6 +17,7 @@ namespace sgl {
 
 const char* EvaluatorModeName(EvaluatorMode mode) {
   switch (mode) {
+    case EvaluatorMode::kReference: return "reference";
     case EvaluatorMode::kNaive: return "naive";
     case EvaluatorMode::kIndexed: return "indexed";
     case EvaluatorMode::kAdaptive: return "adaptive";
@@ -25,11 +26,13 @@ const char* EvaluatorModeName(EvaluatorMode mode) {
 }
 
 Result<EvaluatorMode> ParseEvaluatorMode(const std::string& name) {
+  if (name == "reference") return EvaluatorMode::kReference;
   if (name == "naive") return EvaluatorMode::kNaive;
   if (name == "indexed") return EvaluatorMode::kIndexed;
   if (name == "adaptive") return EvaluatorMode::kAdaptive;
   return Status::Invalid("unknown evaluator mode '", name,
-                         "' (expected naive, indexed, or adaptive)");
+                         "' (expected reference, naive, indexed, or "
+                         "adaptive)");
 }
 
 Status SimulationConfig::Validate() const {
@@ -329,9 +332,7 @@ std::string Simulation::Explain() const {
   if (!name_.empty()) os << "simulation: " << name_ << "\n";
   os << "execution: " << threads_ << (threads_ == 1 ? " thread" : " threads")
      << (pool_ != nullptr ? " (parallel tick pipeline, deterministic)" : "")
-     << ", evaluator: " << EvaluatorModeName(config_.eval_mode)
-     << ", sharing: " << (sharing_ != nullptr ? "on" : "off")
-     << ", compiled: " << (config_.compiled ? "on" : "off") << "\n\n";
+     << ", evaluator: " << EvaluatorModeName(config_.eval_mode) << "\n\n";
   for (const auto& session : sessions_) {
     os << "== script '" << session->name << "'";
     if (dispatch_attr_ != Schema::kInvalidAttr) {
@@ -837,32 +838,34 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
       sim->default_session_ = static_cast<int32_t>(i);
     }
 
+    // kReference keeps the bare interpreter: nothing sits between it and
+    // the literal per-unit scans. Every other mode layers the physical
+    // provider and sink (indexed/adaptive), the sharing memo and the
+    // bytecode on top of it.
     session.interp = std::make_unique<Interpreter>(session.script);
-    if (config_.eval_mode != EvaluatorMode::kNaive) {
-      if (config_.index_aggregates) {
-        if (config_.eval_mode == EvaluatorMode::kAdaptive) {
-          SGL_ASSIGN_OR_RETURN(
-              auto adaptive,
-              AdaptiveAggregateProvider::Create(session.script,
-                                                *session.interp));
-          session.provider = std::move(adaptive);
-        } else {
-          SGL_ASSIGN_OR_RETURN(session.provider,
-                               IndexedAggregateProvider::Create(
-                                   session.script, *session.interp));
-        }
-        session.provider->set_num_shards(sim->threads_);
-        session.interp->set_aggregate_provider(session.provider.get());
-      }
-      if (config_.index_actions) {
-        SGL_ASSIGN_OR_RETURN(
-            session.sink,
-            IndexedActionSink::Create(session.script, *session.interp));
-        session.sink->set_num_shards(sim->threads_);
-        session.interp->set_action_sink(session.sink.get());
-      }
+    const EvaluatorMode mode = config_.eval_mode;
+    if (mode == EvaluatorMode::kAdaptive) {
+      SGL_ASSIGN_OR_RETURN(
+          auto adaptive,
+          AdaptiveAggregateProvider::Create(session.script, *session.interp));
+      session.provider = std::move(adaptive);
+    } else if (mode == EvaluatorMode::kIndexed) {
+      SGL_ASSIGN_OR_RETURN(
+          session.provider,
+          IndexedAggregateProvider::Create(session.script, *session.interp));
     }
-    if (config_.sharing) {
+    if (session.provider != nullptr) {
+      session.provider->set_num_shards(sim->threads_);
+      session.interp->set_aggregate_provider(session.provider.get());
+      SGL_ASSIGN_OR_RETURN(
+          session.sink,
+          IndexedActionSink::Create(session.script, *session.interp));
+      session.sink->set_num_shards(sim->threads_);
+      session.interp->set_action_sink(session.sink.get());
+    }
+    if (mode == EvaluatorMode::kReference) {
+      session.compile_note = "reference evaluator";
+    } else {
       // The sharing decorator intercepts the interpreter's aggregate
       // calls: memo hits return immediately, misses flow to the physical
       // provider (or the reference scan under the naive evaluator). One
@@ -882,8 +885,6 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
       if (session.sharing->any_shared()) {
         session.interp->set_aggregate_provider(session.sharing.get());
       }
-    }
-    if (config_.compiled) {
       // Lower the decision logic to batch bytecode (src/vm/). The
       // compiler is conservative: a declined script simply keeps the
       // interpreter, with the reason surfaced by Explain().
@@ -893,8 +894,6 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
       } else {
         session.compile_note = compiled.status().message();
       }
-    } else {
-      session.compile_note = "disabled by config";
     }
 
     // Rebind the session's counters into the simulation's registry (all
@@ -944,13 +943,13 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
 
   // --- observability -----------------------------------------------------
   // One registry serves every subsystem; phase slots bind lazily on first
-  // Tick. With sharing on, the probe totals the decision phase folds in
-  // come from decorated providers, so they inherit the same
+  // Tick. Outside kReference, the probe totals the decision phase folds
+  // in come from sharing-decorated providers, so they inherit the same
   // execution-dependence as the provider counters.
   if (sim->sharing_ != nullptr) {
     sim->sharing_->BindMetrics(&sim->metrics_, "sharing.");
   }
-  sim->stats_.Attach(&sim->metrics_, config_.sharing
+  sim->stats_.Attach(&sim->metrics_, sim->sharing_ != nullptr
                                          ? obs::kMetricExecDependent
                                          : obs::kMetricNone);
   sim->ticks_counter_ = sim->metrics_.GetCounter("engine.ticks");

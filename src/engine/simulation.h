@@ -21,7 +21,8 @@
 // versions of our aggregate query evaluator"): kNaive scans E per
 // aggregate and per action; kIndexed probes the Section 5.3/5.4 index
 // structures; kAdaptive re-plans per index family each tick with the
-// cost model of src/opt/cost.h. All modes produce bit-identical
+// cost model of src/opt/cost.h; kReference is the per-unit interpreter
+// the others are tested against. All modes produce bit-identical
 // simulations.
 //
 // Checkpoint(dir)/RestoreFrom(dir) are the one durability API: they
@@ -63,19 +64,25 @@ namespace storage {
 class WorldStore;
 }  // namespace storage
 
-/// Which aggregate/action evaluator the simulation runs. All modes are
-/// bit-exact with each other (the engine and scenario suites enforce it):
-///   kNaive    reference scans per aggregate and action;
-///   kIndexed  Section 5.3/5.4 index structures, rebuilt every tick;
-///   kAdaptive per index family and per tick, a calibrated cost model
-///             (src/opt/cost.h) picks scan fallback, full rebuild, or —
-///             for divisible range-tree families under low churn —
-///             incremental maintenance from the tick's delta log.
-enum class EvaluatorMode { kNaive, kIndexed, kAdaptive };
+/// Which aggregate/action evaluator the simulation runs — the one setting
+/// that chooses how a tick is evaluated. All modes are bit-exact with each
+/// other (the engine and scenario suites enforce it):
+///   kReference the literal per-unit semantics: the AST interpreter with
+///              no bytecode, no sharing memo, no indexes — the test oracle;
+///   kNaive     reference scans per aggregate and action, run by the batch
+///              VM (src/vm/) with cross-unit sharing (src/opt/sharing.h);
+///   kIndexed   kNaive plus the Section 5.3/5.4 index structures, rebuilt
+///              every tick;
+///   kAdaptive  per index family and per tick, a calibrated cost model
+///              (src/opt/cost.h) picks scan fallback, full rebuild, or —
+///              for divisible range-tree families under low churn —
+///              incremental maintenance from the tick's delta log.
+enum class EvaluatorMode { kReference, kNaive, kIndexed, kAdaptive };
 
 const char* EvaluatorModeName(EvaluatorMode mode);
 
-/// Parse "naive" / "indexed" / "adaptive" (benchmark and tool CLIs).
+/// Parse "reference" / "naive" / "indexed" / "adaptive" (benchmark and
+/// tool CLIs).
 Result<EvaluatorMode> ParseEvaluatorMode(const std::string& name);
 
 /// Game-specific rules the engine delegates to: how combined effects
@@ -131,7 +138,8 @@ struct ArtifactConfig {
 };
 
 struct SimulationConfig {
-  /// Evaluator mode (the paper's pluggable evaluators plus kAdaptive).
+  /// Evaluator mode (the paper's pluggable evaluators, kAdaptive, and the
+  /// kReference oracle).
   EvaluatorMode eval_mode = EvaluatorMode::kIndexed;
   uint64_t seed = 1;
 
@@ -141,28 +149,6 @@ struct SimulationConfig {
   /// value produces bit-identical simulations — the determinism contract
   /// the parallel test suite enforces.
   int32_t threads = 1;
-
-  /// Ablation switches for kIndexed mode: disable the Section 5.3
-  /// aggregate indexes or the Section 5.4 action batching independently
-  /// (bench_optimizer measures each contribution).
-  bool index_aggregates = true;
-  bool index_actions = true;
-
-  /// Cross-unit aggregate sharing (src/opt/sharing.h): memoize
-  /// unit-invariant and partition-keyed aggregate results per tick and
-  /// broadcast them across probing units and scripts. Works under every
-  /// evaluator mode (it layers above the physical providers — including
-  /// the naive reference scans) and is bit-exact on or off for any
-  /// thread count; off reproduces the probe-per-unit behavior exactly.
-  bool sharing = true;
-
-  /// Compiled evaluation (src/vm/): lower each script's decision logic to
-  /// register bytecode at Build() time and run the decision phase through
-  /// the batch VM instead of the AST interpreter. Bit-exact with the
-  /// interpreter under every evaluator mode, thread count, and sharing
-  /// setting; scripts the conservative compiler declines fall back to the
-  /// interpreter automatically (Explain() shows the reason per script).
-  bool compiled = true;
 
   /// Movement phase configuration. Attribute names for the per-tick
   /// movement intent; empty names disable the phase. Positions are kept
@@ -207,16 +193,16 @@ struct ScriptSession {
   double dispatch_value = 0.0;
   std::unique_ptr<Interpreter> interp;
   /// Indexed/adaptive modes only (an AdaptiveAggregateProvider in the
-  /// latter); null under the naive evaluator.
+  /// latter); null under the naive and reference evaluators.
   std::unique_ptr<IndexedAggregateProvider> provider;
   std::unique_ptr<IndexedActionSink> sink;  // indexed/adaptive modes only
-  /// With SimulationConfig::sharing: the memoization decorator installed
+  /// Every mode but kReference: the memoization decorator installed
   /// between the interpreter and `provider` (or the naive fallback when
   /// `provider` is null). All sessions share the Simulation's context.
   std::unique_ptr<SharingAggregateProvider> sharing;
-  /// With SimulationConfig::compiled: the script's decision bytecode, run
-  /// by the batch VM (src/vm/). Null when compilation is off or declined;
-  /// `compile_note` then carries the reason (surfaced by Explain()).
+  /// Every mode but kReference: the script's decision bytecode, run by
+  /// the batch VM (src/vm/). Null under kReference or when the compiler
+  /// declines; `compile_note` then carries the reason (shown by Explain()).
   std::unique_ptr<vm::CompiledProgram> compiled;
   std::string compile_note;
 };
@@ -268,11 +254,10 @@ class Simulation {
   const PhaseStatsRegistry& stats() const { return stats_; }
   PhaseStatsRegistry* mutable_stats() { return &stats_; }
 
-  /// The cross-unit aggregate-sharing layer; null when
-  /// SimulationConfig::sharing is off.
+  /// The cross-unit aggregate-sharing layer; null under kReference.
   const SharingContext* sharing() const { return sharing_.get(); }
 
-  /// Sharing counters for benches/tests (0 with sharing off). Read them
+  /// Sharing counters for benches/tests (0 under kReference). Read them
   /// between ticks or after a run, not mid-phase.
   int64_t shared_hits() const;
   int64_t memo_entries() const;
@@ -415,7 +400,7 @@ class Simulation {
   std::vector<ApplyEffectsHook> apply_hooks_;
   std::vector<EndTickHook> end_tick_hooks_;
   std::vector<std::unique_ptr<TickPhase>> pipeline_;
-  std::unique_ptr<SharingContext> sharing_;  // null when sharing is off
+  std::unique_ptr<SharingContext> sharing_;  // null under kReference
   EffectBuffer buffer_;
   PhaseStatsRegistry stats_;
   obs::MetricsRegistry metrics_;

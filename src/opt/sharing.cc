@@ -193,7 +193,7 @@ void SharingContext::BindGroup(int32_t g) {
   // across threads; calls/entries/demotions are deterministic per
   // context, but they describe how evaluation was organized, not the
   // simulated world, so the deterministic subset stays comparable
-  // between sharing on and off.
+  // with the reference evaluator, which has no sharing layer.
   group.calls =
       metrics_->GetCounter(base + "calls", obs::kMetricExecDependent);
   group.hits =

@@ -37,8 +37,9 @@
 // Concurrent shards fill the per-tick tables race-free through a
 // publish-once slot per key: racing shards may compute the same value
 // twice, but exactly one copy is published and both are identical, so
-// simulations stay bit-exact for any worker-thread count with sharing on
-// or off (SimulationConfig::sharing; tests/sharing_test.cc enforces it).
+// simulations stay bit-exact for any worker-thread count, and with the
+// reference evaluator, which has no sharing layer (tests/sharing_test.cc
+// enforces it).
 //
 // Groups whose keys turn out to be nearly unique per unit (epidemic's
 // per-position exposure boxes) are demoted to per-unit as soon as the
@@ -242,6 +243,12 @@ class SharingAggregateProvider : public AggregateProvider {
   Result<Value> Eval(int32_t agg_index, const std::vector<Value>& scalar_args,
                      RowId u_row, const EnvironmentTable& table,
                      const TickRandom& rnd, int32_t shard = 0) override;
+
+  /// Without an inner provider, a declaration whose group is not
+  /// memoizing (per-unit, or demoted) goes straight to the reference scan.
+  bool UsesReferenceScan(int32_t agg_index) const override {
+    return inner_ == nullptr && !ctx_->Active(group_of_[agg_index]);
+  }
 
   const SharingPlan& plan(int32_t agg_index) const {
     return plans_[agg_index];

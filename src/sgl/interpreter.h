@@ -85,6 +85,14 @@ class AggregateProvider {
                              const std::vector<Value>& scalar_args,
                              RowId u_row, const EnvironmentTable& table,
                              const TickRandom& rnd, int32_t shard = 0) = 0;
+
+  /// True when Eval would answer `agg_index` with exactly the
+  /// interpreter's reference scan this tick, with no index, memo or
+  /// tally in between. The batch VM then runs the declaration's compiled
+  /// scan instead: the same answer, without a per-row interpreter call.
+  virtual bool UsesReferenceScan(int32_t /*agg_index*/) const {
+    return false;
+  }
 };
 
 /// Pluggable action application. The naive engine scans E per update

@@ -151,8 +151,7 @@ void WorldStore::ExpandMask(uint64_t mask, std::vector<AttrId>* out) const {
 
 void WorldStore::OnCellWrite(int64_t key, AttrId attr) {
   const uint64_t bit = TableChanges::BitOf(attr);
-  wal_cells_[key] |= bit;
-  pool_cells_[key] |= bit;
+  dirty_cells_[key] |= bit;
 }
 
 void WorldStore::OnAddRow(int64_t key, RowId row,
@@ -161,10 +160,10 @@ void WorldStore::OnAddRow(int64_t key, RowId row,
   op.add = true;
   op.key = key;
   op.values = values;
-  wal_ops_.push_back(std::move(op));
+  struct_ops_.push_back(std::move(op));
   // The structural rewrite re-pages every row from `row` up, so the new
-  // row's cells need no pool_cells_ entries.
-  if (pool_struct_min_ < 0 || row < pool_struct_min_) pool_struct_min_ = row;
+  // row's cells need no dirty_cells_ entries.
+  if (struct_min_ < 0 || row < struct_min_) struct_min_ = row;
 }
 
 void WorldStore::OnRemoveRows(RowId first_row,
@@ -172,10 +171,8 @@ void WorldStore::OnRemoveRows(RowId first_row,
   StructOp op;
   op.add = false;
   op.keys = keys;
-  wal_ops_.push_back(std::move(op));
-  if (pool_struct_min_ < 0 || first_row < pool_struct_min_) {
-    pool_struct_min_ = first_row;
-  }
+  struct_ops_.push_back(std::move(op));
+  if (struct_min_ < 0 || first_row < struct_min_) struct_min_ = first_row;
 }
 
 // --- page-cache maintenance ------------------------------------------------
@@ -212,16 +209,14 @@ Status WorldStore::RewriteRows(const EnvironmentTable& table, RowId from_row) {
   return Status::OK();
 }
 
-Status WorldStore::FlushPoolDeltas(const EnvironmentTable& table) {
-  if (pool_struct_min_ < 0 && pool_cells_.empty()) return Status::OK();
-  if (num_slots_ == 0) SetLayout(table.schema());
+Status WorldStore::FlushDeltas(const EnvironmentTable& table) {
   RowId rewritten_from = std::numeric_limits<RowId>::max();
-  if (pool_struct_min_ >= 0) {
-    rewritten_from = pool_struct_min_;
-    SGL_RETURN_NOT_OK(RewriteRows(table, pool_struct_min_));
+  if (struct_min_ >= 0) {
+    rewritten_from = struct_min_;
+    SGL_RETURN_NOT_OK(RewriteRows(table, struct_min_));
   }
   std::vector<AttrId> attrs;
-  for (const auto& entry : pool_cells_) {
+  for (const auto& entry : dirty_cells_) {
     const RowId row = table.RowOf(entry.first);
     // Removed keys and rewritten rows are already on their pages.
     if (row < 0 || row >= rewritten_from) continue;
@@ -230,8 +225,9 @@ Status WorldStore::FlushPoolDeltas(const EnvironmentTable& table) {
       SGL_RETURN_NOT_OK(WriteCell(row, a, PackDouble(table.Get(row, a))));
     }
   }
-  pool_cells_.clear();
-  pool_struct_min_ = -1;
+  dirty_cells_.clear();
+  struct_ops_.clear();
+  struct_min_ = -1;
   return Status::OK();
 }
 
@@ -265,7 +261,7 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
     WalAppendLE(&body, static_cast<uint64_t>(tick), 8);
     SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kTickBegin, body, &bytes));
     ++records;
-    for (const StructOp& op : wal_ops_) {
+    for (const StructOp& op : struct_ops_) {
       body.clear();
       if (op.add) {
         WalAppendLE(&body, static_cast<uint64_t>(op.key), 8);
@@ -283,11 +279,11 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
       ++records;
     }
     // One CellDeltas record: the final value of every surviving cell the
-    // tick dirtied, sorted by key (wal_cells_ is an ordered map).
+    // tick dirtied, sorted by key (dirty_cells_ is an ordered map).
     std::string cells;
     uint32_t count = 0;
     std::vector<AttrId> attrs;
-    for (const auto& entry : wal_cells_) {
+    for (const auto& entry : dirty_cells_) {
       const RowId row = table.RowOf(entry.first);
       if (row < 0) continue;  // written then removed within the tick
       ExpandMask(entry.second, &attrs);
@@ -312,9 +308,7 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
     if (wal_bytes_ != nullptr) wal_bytes_->Add(bytes);
     if (wal_records_ != nullptr) wal_records_->Add(records);
   }
-  wal_ops_.clear();
-  wal_cells_.clear();
-  SGL_RETURN_NOT_OK(FlushPoolDeltas(table));
+  SGL_RETURN_NOT_OK(FlushDeltas(table));
   if (config_.checkpoint_every > 0 &&
       (tick + 1) % config_.checkpoint_every == 0) {
     SGL_RETURN_NOT_OK(Checkpoint(table, tick + 1));
@@ -329,13 +323,13 @@ Status WorldStore::Checkpoint(const EnvironmentTable& table, int64_t tick) {
   if (!synced_) {
     // First checkpoint into this directory (or an explicit overwrite of
     // an unrestored world): drop stale accumulators, write a full image.
-    wal_ops_.clear();
-    wal_cells_.clear();
-    pool_cells_.clear();
-    pool_struct_min_ = 0;
+    dirty_cells_.clear();
+    struct_ops_.clear();
+    struct_min_ = 0;
     synced_ = true;
   }
-  SGL_RETURN_NOT_OK(FlushPoolDeltas(table));
+  // The pending changes land in the image; the WAL restarts after it.
+  SGL_RETURN_NOT_OK(FlushDeltas(table));
   SGL_RETURN_NOT_OK(pool_->FlushDirty(nullptr));
   SGL_RETURN_NOT_OK(file_.Sync());
   if (fsyncs_ != nullptr) fsyncs_->Add(1);
@@ -655,12 +649,11 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
 
 void WorldStore::MarkWorldInstalled() {
   synced_ = true;
-  wal_ops_.clear();
-  wal_cells_.clear();
-  pool_cells_.clear();
+  dirty_cells_.clear();
+  struct_ops_.clear();
   // Cached pages hold checkpoint-state bytes; the WAL replay that built
   // the installed table never touched them. Resync from row 0.
-  pool_struct_min_ = 0;
+  struct_min_ = 0;
 }
 
 }  // namespace storage

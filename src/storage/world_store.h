@@ -15,13 +15,14 @@
 // a holds attribute a. Cells are 8 bytes (raw IEEE-754 bits for attrs),
 // so every table value round-trips exactly.
 //
-// The store listens to the live table (TableDeltaListener) and keeps
-// two delta accumulators over the same events:
-//   - the WAL set, harvested once per tick by CommitTick into one
-//     CellDeltas record (final end-of-tick values, keyed by unit key)
-//     plus the tick's structural ops in occurrence order;
-//   - the pool set, drained by FlushPoolDeltas into the page cache at
-//     every CommitTick and Checkpoint.
+// The store listens to the live table (TableDeltaListener) and keeps one
+// delta accumulator: the cells dirtied since the last commit (key ->
+// changed-attr mask) plus the structural ops in occurrence order.
+// CommitTick writes it to the WAL as one CellDeltas record (final
+// end-of-tick values, keyed by unit key) after the tick's structural-op
+// records, then brings the cached pages up to date from it and clears
+// it. Checkpoint flushes and clears it too: the changes are then in the
+// image, where the WAL restarts.
 //
 // Checkpoint = flush dirty frames to scratch slots, fsync, promote the
 // scratch slots, publish the manifest (write-temp + fsync + rename),
@@ -126,9 +127,9 @@ class WorldStore : public TableDeltaListener {
   /// (bit min(a, 63); bit 63 is coarse and expands to all attrs >= 63).
   void ExpandMask(uint64_t mask, std::vector<AttrId>* out) const;
 
-  /// Bring cached pages up to date with `table` (applies the pending
-  /// pool delta set).
-  Status FlushPoolDeltas(const EnvironmentTable& table);
+  /// Bring cached pages up to date with `table` from the accumulator,
+  /// then clear it.
+  Status FlushDeltas(const EnvironmentTable& table);
 
   /// Read row `row`'s attribute values (attrs 1..k into values[0..k-1])
   /// through the buffer pool.
@@ -164,13 +165,10 @@ class WorldStore : public TableDeltaListener {
   bool has_world_ = false;
   bool synced_ = false;
 
-  // WAL accumulator (cleared each CommitTick).
-  std::map<int64_t, uint64_t> wal_cells_;  // key -> changed-attr mask
-  std::vector<StructOp> wal_ops_;
-
-  // Pool accumulator (cleared each FlushPoolDeltas).
-  std::map<int64_t, uint64_t> pool_cells_;
-  RowId pool_struct_min_ = -1;  // lowest structurally-affected row; -1 = none
+  // The delta accumulator (cleared by FlushDeltas).
+  std::map<int64_t, uint64_t> dirty_cells_;  // key -> changed-attr mask
+  std::vector<StructOp> struct_ops_;
+  RowId struct_min_ = -1;  // lowest structurally-affected row; -1 = none
 
   obs::Counter* wal_bytes_ = nullptr;
   obs::Counter* wal_records_ = nullptr;

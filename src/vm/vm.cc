@@ -322,11 +322,13 @@ Status BatchExecutor::RunBatch(const CompiledProgram& prog,
       case Op::kAgg: {
         const uint8_t* m = MaskRow(in.mask);
         const int32_t nout = in.b;
-        // Pure naive probes (no provider plugin) run the declaration's
-        // vectorized scan when one compiled; with a provider installed
-        // (sharing / indexed / adaptive) its plan stays authoritative.
+        // Reference-scan probes (no provider, or one that would only
+        // forward to the reference scan this tick — a naive declaration
+        // the sharing memo does not cover) run the declaration's
+        // vectorized scan when one compiled; otherwise the provider's
+        // plan (memo / indexed / adaptive) stays authoritative.
         const AggScanProgram* scan =
-            provider == nullptr &&
+            (provider == nullptr || provider->UsesReferenceScan(in.aux)) &&
                     in.aux < static_cast<int32_t>(prog.agg_scans.size())
                 ? prog.agg_scans[in.aux].get()
                 : nullptr;

@@ -150,9 +150,9 @@ TEST(Diagnostics, AnalysisErrorsNameTheSchema) {
 
 // ---- Explain(): the per-script "Bytecode" block ----
 
-std::unique_ptr<Simulation> ExplainSim(bool compiled) {
+std::unique_ptr<Simulation> ExplainSim(EvaluatorMode mode) {
   SimulationConfig config;
-  config.compiled = compiled;
+  config.eval_mode = mode;
   auto sim = ScenarioRegistry::Global().BuildSimulation(
       "battle", ScenarioParams{80, 0.02, 5}, config);
   EXPECT_TRUE(sim.ok()) << sim.status().ToString();
@@ -160,7 +160,7 @@ std::unique_ptr<Simulation> ExplainSim(bool compiled) {
 }
 
 TEST(Diagnostics, ExplainShowsBytecodeDisassembly) {
-  auto sim = ExplainSim(true);
+  auto sim = ExplainSim(EvaluatorMode::kIndexed);
   ASSERT_NE(sim, nullptr);
   const std::string explain = sim->Explain();
   EXPECT_NE(std::string::npos, explain.find("compiled: on"));
@@ -180,12 +180,26 @@ TEST(Diagnostics, ExplainShowsBytecodeDisassembly) {
   EXPECT_NE(std::string::npos, after.find("batch dispatches"));
 }
 
-TEST(Diagnostics, ExplainReportsCompilationOff) {
-  auto sim = ExplainSim(false);
+TEST(Diagnostics, EvaluatorModeNamesRoundTrip) {
+  for (EvaluatorMode mode :
+       {EvaluatorMode::kReference, EvaluatorMode::kNaive,
+        EvaluatorMode::kIndexed, EvaluatorMode::kAdaptive}) {
+    auto parsed = ParseEvaluatorMode(EvaluatorModeName(mode));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(*parsed, mode);
+  }
+  auto bogus = ParseEvaluatorMode("interpreted");
+  ASSERT_FALSE(bogus.ok());
+  EXPECT_NE(std::string::npos, bogus.status().message().find("reference"));
+}
+
+TEST(Diagnostics, ExplainReportsReferenceEvaluator) {
+  auto sim = ExplainSim(EvaluatorMode::kReference);
   ASSERT_NE(sim, nullptr);
   const std::string explain = sim->Explain();
+  EXPECT_NE(std::string::npos, explain.find("evaluator: reference"));
   EXPECT_NE(std::string::npos, explain.find("compiled: off"));
-  EXPECT_NE(std::string::npos, explain.find("disabled by config"));
+  EXPECT_NE(std::string::npos, explain.find("reference evaluator"));
   EXPECT_EQ(std::string::npos, explain.find("compiled: on"));
 }
 

@@ -1,16 +1,20 @@
 // Aggregate-sharing tests: the cross-unit memoization layer
 // (src/opt/sharing.h) must never change what a simulation computes —
 // only how often the evaluators below it run. Every registered scenario
-// runs 50 ticks in lockstep with sharing on vs off across all three
-// evaluator modes and {1, 4} worker threads; classification is unit-
-// tested per class; structurally identical aggregates in different
+// runs 50 ticks in lockstep against the reference evaluator (no sharing
+// layer) across all three sharing evaluator modes and {1, 4} worker
+// threads; a compiler-declined script does the same under the indexed
+// and adaptive modes (interpreter + memo + provider); classification is
+// unit-tested per class; structurally identical aggregates in different
 // scripts must dedup to one shared memo slot; the publish-once slot is
 // hammered from four workers (the TSan CI job runs this suite); and the
 // EXPLAIN transcript must name every class and counter.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/simulation.h"
@@ -34,65 +38,14 @@ ScenarioParams SmallParams() {
 
 std::unique_ptr<Simulation> BuildOrDie(const std::string& name,
                                        const ScenarioParams& params,
-                                       EvaluatorMode mode, int32_t threads,
-                                       bool sharing) {
+                                       EvaluatorMode mode, int32_t threads) {
   SimulationConfig config;
   config.eval_mode = mode;
   config.threads = threads;
-  config.sharing = sharing;
   auto sim = ScenarioRegistry::Global().BuildSimulation(name, params, config);
   EXPECT_TRUE(sim.ok()) << name << ": " << sim.status().ToString();
   return sim.ok() ? std::move(*sim) : nullptr;
 }
-
-// ---------------------------------------------------------------- lockstep
-
-// Sharing on vs off must be bit-exact after every tick, for every
-// scenario, evaluator mode, and thread count.
-TEST(SharingLockstepTest, OnMatchesOffEverywhere) {
-  const ScenarioParams params = SmallParams();
-  for (const std::string& scenario : ScenarioRegistry::Global().List()) {
-    for (EvaluatorMode mode :
-         {EvaluatorMode::kNaive, EvaluatorMode::kIndexed,
-          EvaluatorMode::kAdaptive}) {
-      for (int32_t threads : {1, 4}) {
-        SCOPED_TRACE(scenario + " / " + EvaluatorModeName(mode) + " / " +
-                     std::to_string(threads) + " threads");
-        auto on = BuildOrDie(scenario, params, mode, threads, true);
-        auto off = BuildOrDie(scenario, params, mode, threads, false);
-        ASSERT_NE(on, nullptr);
-        ASSERT_NE(off, nullptr);
-        for (int64_t tick = 0; tick < kTicks; ++tick) {
-          ASSERT_TRUE(on->Tick().ok());
-          ASSERT_TRUE(off->Tick().ok());
-          ASSERT_TRUE(on->table().Equals(off->table()))
-              << "diverged at tick " << tick << ":\n"
-              << on->table().DiffString(off->table());
-        }
-        ASSERT_TRUE(ScenarioRegistry::Global()
-                        .CheckInvariants(scenario, params, *on)
-                        .ok());
-      }
-    }
-  }
-}
-
-// Published entry counts are pure per-tick key counts — identical for
-// any worker-thread count (hit/compute splits may race; entries not).
-TEST(SharingLockstepTest, MemoEntriesAreThreadCountInvariant) {
-  const ScenarioParams params = SmallParams();
-  for (const std::string& scenario : {"market", "epidemic", "ctf"}) {
-    auto one = BuildOrDie(scenario, params, EvaluatorMode::kIndexed, 1, true);
-    auto four = BuildOrDie(scenario, params, EvaluatorMode::kIndexed, 4, true);
-    ASSERT_NE(one, nullptr);
-    ASSERT_NE(four, nullptr);
-    ASSERT_TRUE(one->Run(20).ok());
-    ASSERT_TRUE(four->Run(20).ok());
-    EXPECT_EQ(one->memo_entries(), four->memo_entries()) << scenario;
-  }
-}
-
-// ---------------------------------------------------------- classification
 
 Schema TestSchema() {
   Schema s;
@@ -104,6 +57,161 @@ Schema TestSchema() {
   (void)s.AddAttribute("dmg", CombineType::kSum);
   return s;
 }
+
+// ---------------------------------------------------------------- lockstep
+
+/// The reference evaluator's table after each of `ticks` ticks.
+std::vector<EnvironmentTable> ReferenceTrace(Simulation* reference,
+                                             int64_t ticks) {
+  std::vector<EnvironmentTable> trace;
+  for (int64_t tick = 0; tick < ticks; ++tick) {
+    const Status st = reference->Tick();
+    EXPECT_TRUE(st.ok()) << "reference tick " << tick << ": "
+                         << st.ToString();
+    trace.push_back(reference->table().Clone());
+  }
+  return trace;
+}
+
+/// Tick `sim` in lockstep with a recorded reference trace.
+void ExpectLockstep(Simulation* sim,
+                    const std::vector<EnvironmentTable>& trace) {
+  for (size_t tick = 0; tick < trace.size(); ++tick) {
+    ASSERT_TRUE(sim->Tick().ok()) << "tick " << tick;
+    ASSERT_TRUE(sim->table().Equals(trace[tick]))
+        << "diverged at tick " << tick << ":\n"
+        << sim->table().DiffString(trace[tick]);
+  }
+}
+
+// Every sharing evaluator mode must be bit-exact with the reference
+// evaluator after every tick, for every scenario and thread count.
+TEST(SharingLockstepTest, EveryModeMatchesReference) {
+  const ScenarioParams params = SmallParams();
+  for (const std::string& scenario : ScenarioRegistry::Global().List()) {
+    auto reference =
+        BuildOrDie(scenario, params, EvaluatorMode::kReference, 1);
+    ASSERT_NE(reference, nullptr);
+    EXPECT_EQ(reference->sharing(), nullptr);
+    const std::vector<EnvironmentTable> trace =
+        ReferenceTrace(reference.get(), kTicks);
+    for (EvaluatorMode mode :
+         {EvaluatorMode::kNaive, EvaluatorMode::kIndexed,
+          EvaluatorMode::kAdaptive}) {
+      for (int32_t threads : {1, 4}) {
+        SCOPED_TRACE(scenario + " / " + EvaluatorModeName(mode) + " / " +
+                     std::to_string(threads) + " threads");
+        auto sim = BuildOrDie(scenario, params, mode, threads);
+        ASSERT_NE(sim, nullptr);
+        ASSERT_NE(sim->sharing(), nullptr);
+        ExpectLockstep(sim.get(), trace);
+        ASSERT_TRUE(ScenarioRegistry::Global()
+                        .CheckInvariants(scenario, params, *sim)
+                        .ok());
+      }
+    }
+  }
+}
+
+// A script the bytecode compiler declines keeps the interpreter, which
+// then probes through the sharing memo and the physical provider — the
+// one route no scenario script takes. It must match the reference too.
+TEST(SharingLockstepTest, InterpretedScriptMatchesReference) {
+  // The conditionally bound local makes the compiler decline; the three
+  // aggregates cover the unit-invariant, partition-keyed and per-unit
+  // classes.
+  const char* kScript =
+      "aggregate Total(u) { select sum(e.gold) from E e; }\n"
+      "aggregate Mates(u) { select count(*) from E e "
+      "where e.team = u.team; }\n"
+      "aggregate Near(u) { select count(*) from E e "
+      "where e.key <> u.key and e.posx >= u.posx - 4 and "
+      "e.posx <= u.posx + 4; }\n"
+      "action Hit(u, amount) { update e where e.team <> u.team and "
+      "e.posx >= u.posx - 2 and e.posx <= u.posx + 2 set dmg += amount; }\n"
+      "function main(u) {\n"
+      "  if u.hp > 5 then let bonus = 2;\n"
+      "  if u.hp > 8 then\n"
+      "    perform Hit(u, bonus + Mates(u) + Total(u) mod 3 + Near(u));\n"
+      "}";
+  Schema schema = TestSchema();
+  auto posx = schema.Require("posx");
+  auto dmg = schema.Require("dmg");
+  ASSERT_TRUE(posx.ok() && dmg.ok());
+  const AttrId x = *posx;
+  const AttrId d = *dmg;
+  auto build = [&](EvaluatorMode mode,
+                   int32_t threads) -> std::unique_ptr<Simulation> {
+    auto script = CompileScript(kScript, schema);
+    EXPECT_TRUE(script.ok()) << script.status().ToString();
+    if (!script.ok()) return nullptr;
+    EnvironmentTable table(schema);
+    for (int32_t i = 0; i < 120; ++i) {
+      EXPECT_TRUE(table
+                      .AddRow({static_cast<double>(i % 3),
+                               static_cast<double>((i * 7) % 50), 0,
+                               static_cast<double>(1 + i % 9),
+                               static_cast<double>(i % 12), 0})
+                      .ok());
+    }
+    SimulationConfig config;
+    config.eval_mode = mode;
+    config.threads = threads;
+    config.move_x_attr.clear();
+    // Damage moves units along x, so the probes see a changing world.
+    auto sim = SimulationBuilder()
+                   .SetTable(std::move(table))
+                   .SetConfig(config)
+                   .AddScript("declined", script.MoveValue())
+                   .OnApplyEffects([x, d](EnvironmentTable* t,
+                                          const EffectBuffer&,
+                                          const TickRandom&) {
+                     for (RowId r = 0; r < t->NumRows(); ++r) {
+                       t->Set(r, x,
+                              std::fmod(t->Get(r, x) + t->Get(r, d), 50.0));
+                     }
+                     return Status::OK();
+                   })
+                   .Build();
+    EXPECT_TRUE(sim.ok()) << sim.status().ToString();
+    return sim.ok() ? std::move(*sim) : nullptr;
+  };
+  auto reference = build(EvaluatorMode::kReference, 1);
+  ASSERT_NE(reference, nullptr);
+  const std::vector<EnvironmentTable> trace =
+      ReferenceTrace(reference.get(), 20);
+  for (EvaluatorMode mode :
+       {EvaluatorMode::kIndexed, EvaluatorMode::kAdaptive}) {
+    for (int32_t threads : {1, 4}) {
+      SCOPED_TRACE(std::string(EvaluatorModeName(mode)) + " / " +
+                   std::to_string(threads) + " threads");
+      auto sim = build(mode, threads);
+      ASSERT_NE(sim, nullptr);
+      ASSERT_EQ(sim->session(0).compiled, nullptr)
+          << "the compiler accepted the script; the interpreter route is "
+             "no longer covered";
+      ExpectLockstep(sim.get(), trace);
+      EXPECT_GT(sim->shared_hits(), 0);
+    }
+  }
+}
+
+// Published entry counts are pure per-tick key counts — identical for
+// any worker-thread count (hit/compute splits may race; entries not).
+TEST(SharingLockstepTest, MemoEntriesAreThreadCountInvariant) {
+  const ScenarioParams params = SmallParams();
+  for (const std::string& scenario : {"market", "epidemic", "ctf"}) {
+    auto one = BuildOrDie(scenario, params, EvaluatorMode::kIndexed, 1);
+    auto four = BuildOrDie(scenario, params, EvaluatorMode::kIndexed, 4);
+    ASSERT_NE(one, nullptr);
+    ASSERT_NE(four, nullptr);
+    ASSERT_TRUE(one->Run(20).ok());
+    ASSERT_TRUE(four->Run(20).ok());
+    EXPECT_EQ(one->memo_entries(), four->memo_entries()) << scenario;
+  }
+}
+
+// ---------------------------------------------------------- classification
 
 /// Compile a script whose first aggregate is the declaration under test
 /// and return its sharing plan.
@@ -368,12 +476,12 @@ TEST(SharingPublishOnceTest, ConcurrentWorkersAgreeOnOneSlot) {
 // ----------------------------------------------------------------- explain
 
 TEST(SharingExplainTest, TranscriptListsClassesAndCounters) {
-  auto sim =
-      BuildOrDie("market", SmallParams(), EvaluatorMode::kAdaptive, 1, true);
+  auto sim = BuildOrDie("market", SmallParams(), EvaluatorMode::kAdaptive, 1);
   ASSERT_NE(sim, nullptr);
   ASSERT_TRUE(sim->Run(10).ok());
   const std::string explain = sim->Explain();
-  EXPECT_NE(explain.find("sharing: on"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("evaluator: adaptive"), std::string::npos)
+      << explain;
   EXPECT_NE(explain.find("Aggregate sharing ("), std::string::npos)
       << explain;
   EXPECT_NE(explain.find("[unit-invariant] market.Market"),
@@ -384,20 +492,20 @@ TEST(SharingExplainTest, TranscriptListsClassesAndCounters) {
       << explain;
   EXPECT_NE(explain.find("calls "), std::string::npos) << explain;
   EXPECT_NE(explain.find("hits "), std::string::npos) << explain;
-  // Sharing off: the block disappears and the header says so.
-  auto off =
-      BuildOrDie("market", SmallParams(), EvaluatorMode::kAdaptive, 1, false);
-  ASSERT_NE(off, nullptr);
-  const std::string off_explain = off->Explain();
-  EXPECT_NE(off_explain.find("sharing: off"), std::string::npos)
-      << off_explain;
-  EXPECT_EQ(off_explain.find("Aggregate sharing ("), std::string::npos)
-      << off_explain;
+  // The reference evaluator has no sharing layer: the block disappears
+  // and the header names the evaluator.
+  auto reference =
+      BuildOrDie("market", SmallParams(), EvaluatorMode::kReference, 1);
+  ASSERT_NE(reference, nullptr);
+  const std::string ref_explain = reference->Explain();
+  EXPECT_NE(ref_explain.find("evaluator: reference"), std::string::npos)
+      << ref_explain;
+  EXPECT_EQ(ref_explain.find("Aggregate sharing ("), std::string::npos)
+      << ref_explain;
 }
 
 TEST(SharingExplainTest, PerUnitAggregatesListTheirReason) {
-  auto sim =
-      BuildOrDie("battle", SmallParams(), EvaluatorMode::kIndexed, 1, true);
+  auto sim = BuildOrDie("battle", SmallParams(), EvaluatorMode::kIndexed, 1);
   ASSERT_NE(sim, nullptr);
   ASSERT_TRUE(sim->Run(5).ok());
   const std::string explain = sim->Explain();

@@ -334,6 +334,37 @@ TEST(StorageRecoveryTest, BuildRefusesToTickOverAnUnrestoredWorld) {
   EXPECT_TRUE(sim->Tick().ok());
 }
 
+// Edits made between ticks and then checkpointed live in the image; the
+// log restarts after it, so recovery must not replay them a second time.
+TEST(StorageRecoveryTest, EditsBeforeACheckpointAreNotReplayed) {
+  const std::string dir = FreshDir("between_ticks_world");
+  const SimulationConfig config =
+      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1);
+  EnvironmentTable expected{Schema()};
+  {
+    auto sim = BuildScenario("battle", config);
+    ASSERT_NE(nullptr, sim);
+    ASSERT_TRUE(sim->Run(3).ok());
+    EnvironmentTable* table = sim->mutable_table();
+    std::vector<double> values;
+    for (AttrId a = 1; a < table->schema().NumAttrs(); ++a) {
+      values.push_back(table->Get(0, a));
+    }
+    ASSERT_TRUE(table->AddRow(values).ok());
+    table->Set(1, 1, table->Get(1, 1) + 1.0);
+    ASSERT_TRUE(sim->Checkpoint(dir).ok());
+    ASSERT_TRUE(sim->Run(3).ok());
+    expected = sim->table().Clone();
+  }
+  auto store = WorldStore::Open(config.storage, nullptr);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto world = (*store)->Recover();
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  EXPECT_EQ(6, world->tick);
+  EXPECT_TRUE(world->table.Equals(expected))
+      << world->table.DiffString(expected);
+}
+
 TEST(StorageRecoveryTest, TornWalTailRecoversToLastCommittedTick) {
   const std::string dir = FreshDir("torn_world");
   {

@@ -1,13 +1,15 @@
-// Differential fuzzing of the bytecode VM against the interpreter.
+// Differential fuzzing of every evaluator mode against the reference
+// interpreter.
 //
 // A seeded deterministic generator emits random well-typed SGL scripts —
 // nested arithmetic (division and modulus guarded against runtime
 // errors), builtins, random(), aggregate probes, and/or/not conditions,
-// if/else nesting, let bindings, user-function inlining — then a
-// compiled and an interpreted simulation of the same small world run 20
-// ticks in lockstep. Any bit divergence in the environment table fails
-// with the offending script source and tick. Seeds are fixed, so a
-// failure reproduces exactly.
+// if/else nesting, let bindings, user-function inlining — then the same
+// small world runs 20 ticks under the reference evaluator and under
+// {naive, indexed, adaptive} x {1, 4} threads, in lockstep. Any bit
+// divergence in the environment table fails with the offending script
+// source, configuration and tick. Seeds are fixed, so a failure
+// reproduces exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -244,14 +246,13 @@ EnvironmentTable FuzzWorld(const Schema& s, uint64_t seed) {
 }
 
 std::unique_ptr<Simulation> BuildFuzz(const std::string& source, uint64_t seed,
-                                      bool compiled, int32_t threads) {
+                                      EvaluatorMode mode, int32_t threads) {
   Schema schema = FuzzSchema();
   auto script = CompileScript(source, schema);
   EXPECT_TRUE(script.ok()) << script.status().ToString();
   if (!script.ok()) return nullptr;
   SimulationConfig config;
-  config.eval_mode = EvaluatorMode::kNaive;
-  config.compiled = compiled;
+  config.eval_mode = mode;
   config.threads = threads;
   config.seed = seed;
   config.move_x_attr = "";  // the fuzz schema has no movement attributes
@@ -264,7 +265,7 @@ std::unique_ptr<Simulation> BuildFuzz(const std::string& source, uint64_t seed,
   return sim.ok() ? std::move(*sim) : nullptr;
 }
 
-TEST(VmFuzzTest, RandomScriptsStayLockstepWithInterpreter) {
+TEST(VmFuzzTest, RandomScriptsMatchReferenceInEveryMode) {
   Schema schema = FuzzSchema();
   int32_t compiled_scripts = 0;
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
@@ -275,23 +276,38 @@ TEST(VmFuzzTest, RandomScriptsStayLockstepWithInterpreter) {
                              << "script: " << parsed.status().ToString() << "\n"
                              << source;
 
-    // 4 threads on the compiled side doubles as a chunk-boundary test:
-    // batches must split exactly where the interpreter's chunks do.
-    const int32_t threads = seed % 2 == 0 ? 4 : 1;
-    auto compiled = BuildFuzz(source, seed, true, threads);
-    auto interpreted = BuildFuzz(source, seed, false, 1);
-    ASSERT_NE(compiled, nullptr);
-    ASSERT_NE(interpreted, nullptr);
-    if (compiled->session(0).compiled != nullptr) ++compiled_scripts;
-
+    // The oracle runs once per script, single-threaded; every evaluated
+    // configuration must reproduce its table after every tick.
+    auto reference = BuildFuzz(source, seed, EvaluatorMode::kReference, 1);
+    ASSERT_NE(reference, nullptr);
+    std::vector<EnvironmentTable> trace;
     for (int64_t tick = 0; tick < kTicks; ++tick) {
-      ASSERT_TRUE(compiled->Tick().ok()) << "seed " << seed << "\n" << source;
-      ASSERT_TRUE(interpreted->Tick().ok())
-          << "seed " << seed << "\n" << source;
-      ASSERT_TRUE(compiled->table().Equals(interpreted->table()))
-          << "seed " << seed << " diverged at tick " << tick << ":\n"
-          << compiled->table().DiffString(interpreted->table()) << "\nscript:\n"
-          << source;
+      ASSERT_TRUE(reference->Tick().ok()) << "seed " << seed << "\n"
+                                          << source;
+      trace.push_back(reference->table().Clone());
+    }
+
+    for (EvaluatorMode mode :
+         {EvaluatorMode::kNaive, EvaluatorMode::kIndexed,
+          EvaluatorMode::kAdaptive}) {
+      // 4 threads double as a chunk-boundary test: batches must split
+      // exactly where the interpreter's chunks do.
+      for (int32_t threads : {1, 4}) {
+        auto sim = BuildFuzz(source, seed, mode, threads);
+        ASSERT_NE(sim, nullptr);
+        if (mode == EvaluatorMode::kNaive && threads == 1 &&
+            sim->session(0).compiled != nullptr) {
+          ++compiled_scripts;
+        }
+        for (int64_t tick = 0; tick < kTicks; ++tick) {
+          ASSERT_TRUE(sim->Tick().ok()) << "seed " << seed << "\n" << source;
+          ASSERT_TRUE(sim->table().Equals(trace[tick]))
+              << "seed " << seed << " (" << EvaluatorModeName(mode) << ", "
+              << threads << " threads) diverged at tick " << tick << ":\n"
+              << sim->table().DiffString(trace[tick]) << "\nscript:\n"
+              << source;
+        }
+      }
     }
   }
   // The generator is tuned so (nearly) every script compiles; if this

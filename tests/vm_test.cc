@@ -1,10 +1,12 @@
-// Compiled-evaluation lockstep: every scenario under every evaluator mode,
-// thread count, and sharing setting must evolve bit-identically with
-// SimulationConfig::compiled on and off — the batch VM (src/vm/) against
-// the interpreter oracle. Also pins down that the scenario scripts
-// actually compile (no silent interpreter fallback), that the VM really
-// executes (batch counters advance), and that runtime errors surface with
-// the interpreter's exact message and effect-log prefix.
+// Compiled-evaluation lockstep: every scenario under every sharing
+// evaluator mode and thread count must evolve bit-identically with the
+// reference evaluator (the AST interpreter with no bytecode, memo or
+// index) — the batch VM (src/vm/) against the interpreter oracle. Also
+// pins down that the scenario scripts actually compile (no silent
+// interpreter fallback), that the VM really executes (batch counters
+// advance), that aggregates the sharing memo does not cover still run
+// the VM's batch scan, and that runtime errors surface with the
+// interpreter's exact message and effect-log prefix.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,8 +26,8 @@ namespace {
 constexpr int64_t kTicks = 10;
 
 std::unique_ptr<Simulation> BuildScenario(const std::string& name,
-                                          EvaluatorMode mode, int32_t threads,
-                                          bool compiled, bool sharing) {
+                                          EvaluatorMode mode,
+                                          int32_t threads) {
   ScenarioParams params;
   params.units = 60;
   params.density = 0.02;
@@ -33,8 +35,6 @@ std::unique_ptr<Simulation> BuildScenario(const std::string& name,
   SimulationConfig config;
   config.eval_mode = mode;
   config.threads = threads;
-  config.compiled = compiled;
-  config.sharing = sharing;
   auto sim = ScenarioRegistry::Global().BuildSimulation(name, params, config);
   EXPECT_TRUE(sim.ok()) << name << ": " << sim.status().ToString();
   return sim.ok() ? std::move(*sim) : nullptr;
@@ -44,50 +44,44 @@ using VmCase = std::tuple<std::string, EvaluatorMode, int32_t>;
 
 class VmLockstepTest : public ::testing::TestWithParam<VmCase> {};
 
-TEST_P(VmLockstepTest, CompiledMatchesInterpretedBitExactly) {
+TEST_P(VmLockstepTest, CompiledMatchesReferenceBitExactly) {
   const auto& [name, mode, threads] = GetParam();
-  for (bool sharing : {true, false}) {
-    auto compiled = BuildScenario(name, mode, threads, true, sharing);
-    auto interpreted = BuildScenario(name, mode, threads, false, sharing);
-    ASSERT_NE(compiled, nullptr);
-    ASSERT_NE(interpreted, nullptr);
+  auto compiled = BuildScenario(name, mode, threads);
+  auto reference = BuildScenario(name, EvaluatorMode::kReference, 1);
+  ASSERT_NE(compiled, nullptr);
+  ASSERT_NE(reference, nullptr);
 
-    // Every scenario script must lower to bytecode — a conservative-bail
-    // regression would silently turn this whole suite into a no-op.
-    for (int32_t i = 0; i < compiled->NumScripts(); ++i) {
-      EXPECT_NE(compiled->session(i).compiled, nullptr)
-          << name << " script '" << compiled->session(i).name
-          << "' fell back to the interpreter: "
-          << compiled->session(i).compile_note;
-      EXPECT_EQ(interpreted->session(i).compiled, nullptr);
-    }
-
-    for (int64_t tick = 0; tick < kTicks; ++tick) {
-      ASSERT_TRUE(compiled->Tick().ok())
-          << name << " compiled tick " << tick << " (sharing "
-          << (sharing ? "on" : "off") << ")";
-      ASSERT_TRUE(interpreted->Tick().ok())
-          << name << " interpreted tick " << tick;
-      ASSERT_TRUE(compiled->table().Equals(interpreted->table()))
-          << name << " diverged at tick " << tick << " (mode "
-          << EvaluatorModeName(mode) << ", " << threads << " threads, sharing "
-          << (sharing ? "on" : "off") << "):\n"
-          << compiled->table().DiffString(interpreted->table());
-    }
-
-    // The VM must actually have run: at least one session dispatched
-    // batches, and no batch fell back to the interpreter (scenario
-    // scripts are error-free).
-    int64_t batches = 0;
-    int64_t fallbacks = 0;
-    for (int32_t i = 0; i < compiled->NumScripts(); ++i) {
-      const auto& prog = *compiled->session(i).compiled;
-      batches += prog.batches->value();
-      fallbacks += prog.interp_fallbacks->value();
-    }
-    EXPECT_GT(batches, 0) << name << ": the batch VM never executed";
-    EXPECT_EQ(fallbacks, 0) << name << ": unexpected interpreter fallbacks";
+  // Every scenario script must lower to bytecode — a conservative-bail
+  // regression would silently turn this whole suite into a no-op.
+  for (int32_t i = 0; i < compiled->NumScripts(); ++i) {
+    EXPECT_NE(compiled->session(i).compiled, nullptr)
+        << name << " script '" << compiled->session(i).name
+        << "' fell back to the interpreter: "
+        << compiled->session(i).compile_note;
+    EXPECT_EQ(reference->session(i).compiled, nullptr);
   }
+
+  for (int64_t tick = 0; tick < kTicks; ++tick) {
+    ASSERT_TRUE(compiled->Tick().ok()) << name << " compiled tick " << tick;
+    ASSERT_TRUE(reference->Tick().ok()) << name << " reference tick " << tick;
+    ASSERT_TRUE(compiled->table().Equals(reference->table()))
+        << name << " diverged at tick " << tick << " (mode "
+        << EvaluatorModeName(mode) << ", " << threads << " threads):\n"
+        << compiled->table().DiffString(reference->table());
+  }
+
+  // The VM must actually have run: at least one session dispatched
+  // batches, and no batch fell back to the interpreter (scenario
+  // scripts are error-free).
+  int64_t batches = 0;
+  int64_t fallbacks = 0;
+  for (int32_t i = 0; i < compiled->NumScripts(); ++i) {
+    const auto& prog = *compiled->session(i).compiled;
+    batches += prog.batches->value();
+    fallbacks += prog.interp_fallbacks->value();
+  }
+  EXPECT_GT(batches, 0) << name << ": the batch VM never executed";
+  EXPECT_EQ(fallbacks, 0) << name << ": unexpected interpreter fallbacks";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -102,6 +96,24 @@ INSTANTIATE_TEST_SUITE_P(
              std::string("_") + EvaluatorModeName(std::get<1>(info.param)) +
              "_" + std::to_string(std::get<2>(info.param)) + "t";
     });
+
+// Under the naive evaluator the sharing memo answers only the aggregates
+// it memoizes; the per-unit and demoted ones must still run the VM's
+// batch scan rather than a per-row interpreter call through the memo.
+TEST(VmRouteTest, NaiveScansAggregatesTheMemoDoesNotCover) {
+  auto sim = BuildScenario("battle", EvaluatorMode::kNaive, 1);
+  ASSERT_NE(sim, nullptr);
+  ASSERT_TRUE(sim->Run(5).ok());
+  EXPECT_GT(sim->mutable_metrics()
+                ->GetCounter("script.battle.vm.agg_scan_probes")
+                ->value(),
+            0);
+  EXPECT_GT(sim->shared_hits(), 0);
+  const std::string explain = sim->Explain();
+  EXPECT_NE(explain.find("Aggregate sharing ("), std::string::npos)
+      << explain;
+  EXPECT_NE(explain.find("hits "), std::string::npos) << explain;
+}
 
 // ------------------------------------------------ custom-script contracts
 
@@ -127,15 +139,13 @@ EnvironmentTable VmWorld(const Schema& s, int32_t units) {
   return t;
 }
 
-std::unique_ptr<Simulation> BuildCustom(const char* source, bool compiled,
+std::unique_ptr<Simulation> BuildCustom(const char* source, EvaluatorMode mode,
                                         int32_t units = 40) {
   Schema schema = VmSchema();
   auto script = CompileScript(source, schema);
   EXPECT_TRUE(script.ok()) << script.status().ToString();
   SimulationConfig config;
-  config.eval_mode = EvaluatorMode::kNaive;
-  config.compiled = compiled;
-  config.sharing = false;  // pure naive: kAgg probes use vectorized scans
+  config.eval_mode = mode;
   config.move_x_attr = "";  // no movement attrs in this schema
   auto sim = SimulationBuilder()
                  .SetTable(VmWorld(schema, units))
@@ -157,8 +167,8 @@ TEST(VmErrorTest, RuntimeErrorsAreBitExact) {
       if u.posx > 1 then perform Hit(u, 100 / u.hp);
     }
   )";
-  auto compiled = BuildCustom(source, true);
-  auto interpreted = BuildCustom(source, false);
+  auto compiled = BuildCustom(source, EvaluatorMode::kNaive);
+  auto interpreted = BuildCustom(source, EvaluatorMode::kReference);
   ASSERT_NE(compiled, nullptr);
   ASSERT_NE(interpreted, nullptr);
   ASSERT_NE(compiled->session(0).compiled, nullptr)
@@ -184,8 +194,8 @@ TEST(VmErrorTest, ActionUpdateErrorsAreBitExact) {
       if u.posx > 1 then perform Hit(u, 100);
     }
   )";
-  auto compiled = BuildCustom(source, true);
-  auto interpreted = BuildCustom(source, false);
+  auto compiled = BuildCustom(source, EvaluatorMode::kNaive);
+  auto interpreted = BuildCustom(source, EvaluatorMode::kReference);
   ASSERT_NE(compiled, nullptr);
   ASSERT_NE(interpreted, nullptr);
   ASSERT_NE(compiled->session(0).compiled, nullptr)
@@ -225,8 +235,8 @@ TEST(VmLockstepTest, RowAggregatesAndActionScansVectorize) {
       if f.found = 1 and f.dist2 <= 64 then perform Drain(u, w.hp + 20);
     }
   )";
-  auto compiled = BuildCustom(source, true, 80);
-  auto interpreted = BuildCustom(source, false, 80);
+  auto compiled = BuildCustom(source, EvaluatorMode::kNaive, 80);
+  auto interpreted = BuildCustom(source, EvaluatorMode::kReference, 80);
   ASSERT_NE(compiled, nullptr);
   ASSERT_NE(interpreted, nullptr);
   ASSERT_NE(compiled->session(0).compiled, nullptr)
@@ -264,14 +274,14 @@ TEST(VmCompileTest, ConditionallyBoundLocalFallsBackToInterpreter) {
       if u.hp > 90 then perform Mark(u, bonus);
     }
   )";
-  auto sim = BuildCustom(source, true);
+  auto sim = BuildCustom(source, EvaluatorMode::kNaive);
   ASSERT_NE(sim, nullptr);
   EXPECT_EQ(sim->session(0).compiled, nullptr);
   EXPECT_NE(sim->session(0).compile_note.find("conditionally bound"),
             std::string::npos)
       << sim->session(0).compile_note;
   // The interpreter path still runs the simulation.
-  auto interpreted = BuildCustom(source, false);
+  auto interpreted = BuildCustom(source, EvaluatorMode::kReference);
   ASSERT_NE(interpreted, nullptr);
   ASSERT_TRUE(sim->Run(3).ok());
   ASSERT_TRUE(interpreted->Run(3).ok());
@@ -303,8 +313,8 @@ TEST(VmLockstepTest, RandomAggregatesAndInliningStayLockstep) {
       if t > 2 or u.hp mod 2 = 0 then perform strike(u, d.x mod 5);
     }
   )";
-  auto compiled = BuildCustom(source, true, 80);
-  auto interpreted = BuildCustom(source, false, 80);
+  auto compiled = BuildCustom(source, EvaluatorMode::kNaive, 80);
+  auto interpreted = BuildCustom(source, EvaluatorMode::kReference, 80);
   ASSERT_NE(compiled, nullptr);
   ASSERT_NE(interpreted, nullptr);
   ASSERT_NE(compiled->session(0).compiled, nullptr)

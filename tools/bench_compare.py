@@ -3,19 +3,18 @@
 
 Both files are JSON lines: a meta object ({"bench": "scenarios", ...})
 followed by one object per benchmark cell, keyed by
-(scenario, mode, units, threads, sharing, compiled, storage, sessions)
+(scenario, mode, units, threads, storage, sessions)
 with an ns_per_tick measurement and a per-phase breakdown
 ({"phases": [{"name": ..., "ns_per_tick": ...}]}).
-Cells recorded before the aggregate-sharing or compiled-evaluation sweeps
-existed carry no "sharing" / "compiled" field and default to "on" (the
-engine's defaults for both); cells recorded before the multi-tenant
-serving sweep carry no "sessions" field and default to 1 (a solo
-simulation, no SessionManager); cells recorded before the disk-backed
-storage sweep carry no "storage" field and default to "off" (the
-in-memory engine). Older cells may still carry a "shards" field; it is
-ignored. Cells may also carry informational counters (shared_hits, memo_entries) and — when
-produced with bench_suite --metrics — a "metrics" object holding the
-deterministic metrics-registry snapshot. Both ride along into refreshed
+Cells recorded before the multi-tenant serving sweep carry no "sessions"
+field and default to 1 (a solo simulation, no SessionManager); cells
+recorded before the disk-backed storage sweep carry no "storage" field
+and default to "off" (the in-memory engine). Older cells may still carry
+"shards", "sharing" or "compiled" fields from retired sweeps; they are
+ignored (the evaluator mode alone now decides how a cell evaluates).
+Cells may also carry informational counters (shared_hits,
+memo_entries) and — when produced with bench_suite --metrics — a
+"metrics" object holding the deterministic metrics-registry snapshot. Both ride along into refreshed
 baselines but are never compared as a gate — only ns_per_tick can
 regress a cell. When both sides of a regressed cell carry metrics, the
 changed deterministic counters (index probes, memo hits, VM lane ops,
@@ -80,8 +79,6 @@ def load_cells(path):
                 obj.get("mode"),
                 obj.get("units"),
                 obj.get("threads"),
-                obj.get("sharing", "on"),
-                obj.get("compiled", "on"),
                 obj.get("storage", "off"),
                 obj.get("sessions", 1),
             )
@@ -254,16 +251,15 @@ def main():
         )
         return 1
 
-    header = f"{'scenario':<14} {'mode':<8} {'units':>6} {'thr':>4} " \
-             f"{'shr':>3} {'vm':>3} {'dsk':>3} {'ses':>3} " \
+    header = f"{'scenario':<14} {'mode':<9} {'units':>6} {'thr':>4} " \
+             f"{'dsk':>3} {'ses':>3} " \
              f"{'base ns/tick':>13} " \
              f"{'cur ns/tick':>13} {'norm ratio':>10}"
     print(header)
     failures = []
     for k in matched:
         norm = ratios[k] / drift
-        scenario, mode, units, threads, sharing, compiled, storage, \
-            sessions = k
+        scenario, mode, units, threads, storage, sessions = k
         flag = ""
         if norm > 1.0 + args.threshold:
             failures.append((k, norm))
@@ -273,9 +269,8 @@ def main():
         hits = current[k].get("shared_hits")
         info = f"  hits {hits}" if flag == "" and hits else ""
         print(
-            f"{scenario:<14} {mode:<8} {units:>6} {threads:>4} "
-            f"{sharing:>3} {compiled:>3} {storage:>3} "
-            f"{sessions:>3} "
+            f"{scenario:<14} {mode:<9} {units:>6} {threads:>4} "
+            f"{storage:>3} {sessions:>3} "
             f"{baseline[k]['ns_per_tick']:>13} "
             f"{current[k]['ns_per_tick']:>13} {norm:>10.3f}{flag}{info}"
         )
